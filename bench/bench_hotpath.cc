@@ -8,7 +8,9 @@
  *  - steady-state heap allocations per event, measured with a counting
  *    global allocator around the scheduler's drain() phase only (graph
  *    build/teardown and coroutine-frame creation in start() excluded),
- *  - serving-iteration throughput with graph recycling on and off.
+ *  - serving-iteration throughput with graph recycling on and off, and
+ *    with the decode batch size varying along a seeded sequence (one
+ *    built graph rearmed for every size).
  *
  * With `--json[=path]` the results are also written to
  * BENCH_hotpath.json for CI trajectory capture.
@@ -267,6 +269,8 @@ struct ServingResult
     double rebuildItersPerSec = 0;  ///< cold graph per iteration
     double rearmEventsPerSec = 0;
     double rearmBuildUs = 0; ///< graph rearm + patch cost, no run
+    double varybItersPerSec = 0; ///< rearm path, batch over 1..32
+    uint64_t varybRebuilds = 0;  ///< full builds on that path (1)
     uint64_t eventsPerIter = 0;
     uint64_t switchesPerIter = 0;       ///< timed-wait merge (default)
     uint64_t switchesPerIterLegacy = 0; ///< patience-yield merge
@@ -313,6 +317,34 @@ runServing(int reps)
         for (int r = 0; r < reps; ++r)
             rearmDecoderLayer(g, handles, p, spec);
         res.rearmBuildUs = seconds(t0, Clk::now()) / reps * 1e6;
+    }
+    {
+        // Rearm path with the decode batch size varying along a seeded
+        // sequence over 1..32, as it does between serving iterations.
+        // The batch is a dynamic dimension of the graph, so after the
+        // first build every size change is a rearm. One warm pass over
+        // the sequence grows channel rings to their high-water marks.
+        Rng brng(17);
+        std::vector<IterationSpec> specs(64);
+        for (IterationSpec& s : specs) {
+            const int64_t b = brng.uniformRange(1, 32);
+            for (int64_t i = 0; i < b; ++i)
+                s.kvLens.push_back(brng.uniformRange(32, 256));
+            s.trace = generateExpertTrace(brng, b, p.cfg.numExperts,
+                                          p.cfg.topK);
+        }
+        GraphArena arena;
+        Graph g(SimConfig{}, &arena);
+        DecoderRearmHandles handles;
+        for (const IterationSpec& s : specs)
+            runDecoderIteration(p, s, &sched, &g, &handles);
+        auto t0 = Clk::now();
+        for (int r = 0; r < reps; ++r)
+            runDecoderIteration(p, specs[static_cast<size_t>(r) %
+                                         specs.size()],
+                                &sched, &g, &handles);
+        res.varybItersPerSec = reps / seconds(t0, Clk::now());
+        res.varybRebuilds = handles.rebuilds;
     }
     {
         // Recycle + rebuild every iteration (the PR-2 path).
@@ -383,6 +415,9 @@ main(int argc, char** argv)
     std::printf("  cold rebuild:        %9.1f iters/sec\n",
                 sv.rebuildItersPerSec);
     std::printf("  rearm build cost:    %9.1f us/iter\n", sv.rearmBuildUs);
+    std::printf("  rearm, B in 1..32:   %9.1f iters/sec (%llu full build(s))\n",
+                sv.varybItersPerSec,
+                static_cast<unsigned long long>(sv.varybRebuilds));
     std::printf("  rearm vs rebuild:    %9.2fx\n",
                 sv.rearmItersPerSec / sv.rebuildItersPerSec);
     std::printf("  switches/iter:       %9llu (legacy merge: %llu, "
@@ -423,6 +458,10 @@ main(int argc, char** argv)
         j.set("serving_rearm_events_per_sec", sv.rearmEventsPerSec,
               "events/sec");
         j.set("serving_rearm_build_us", sv.rearmBuildUs, "us");
+        j.set("serving_varyb_iters_per_sec", sv.varybItersPerSec,
+              "iters/sec");
+        j.set("serving_varyb_rebuilds",
+              static_cast<double>(sv.varybRebuilds), "count");
         j.set("serving_events_per_iter",
               static_cast<double>(sv.eventsPerIter), "events");
         j.set("serving_switches_per_iter",

@@ -137,6 +137,7 @@ main(int argc, char** argv)
     double goodput_static = 0.0, goodput_dynamic = 0.0; // highest rate
     double availability_hiload = 1.0; // dynamic policy, highest rate
     int64_t migrations_hiload = 0, retries_hiload = 0;
+    uint64_t graph_rearms = 0, graph_rebuilds = 0;
     for (double rate_per_mcycle : {0.6, 1.0, 1.4, 1.8}) {
         for (bool dynamic : {false, true}) {
             TraceConfig tc;
@@ -163,7 +164,10 @@ main(int argc, char** argv)
             ServingSummary s;
             if (replicas == 1) {
                 ServingEngine engine(ec, policy);
-                s = engine.run(reqs).summary;
+                EngineResult er = engine.run(reqs);
+                s = er.summary;
+                graph_rearms += er.graphRearms;
+                graph_rebuilds += er.graphRebuilds;
             } else {
                 ClusterConfig cc;
                 cc.engine = ec;
@@ -196,6 +200,8 @@ main(int argc, char** argv)
                 ServingCluster cluster(cc, policy);
                 ClusterResult cr = cluster.run(reqs);
                 s = cr.aggregate;
+                graph_rearms += cr.graphRearms;
+                graph_rebuilds += cr.graphRebuilds;
                 if (dynamic) {
                     availability_hiload = s.availability;
                     migrations_hiload = cr.migrationsIssued;
@@ -250,6 +256,12 @@ main(int argc, char** argv)
                    "tokens/kcycle");
         report.set("goodput_dynamic_hiload", goodput_dynamic,
                    "tokens/kcycle");
+        // Decode iterations over the whole sweep that rearmed the
+        // engines' iteration graphs in place vs built them afresh.
+        report.set("graph_rearms", static_cast<double>(graph_rearms),
+                   "count");
+        report.set("graph_rebuilds", static_cast<double>(graph_rebuilds),
+                   "count");
         if (faulty) {
             report.set("fault_mode",
                        plan_spec.empty() ? "mtbf" : "plan");

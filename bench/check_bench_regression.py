@@ -10,7 +10,10 @@ the baseline — any metric whose unit ends in "/sec" — must be present in
 the current artifact and reach at least `threshold` x the baseline
 value. A baseline entry may also opt into gating explicitly with
 {"gate": "floor"}: that enforces the same higher-is-better floor on a
-non-rate metric (goodput under faults, availability). Other metrics
+non-rate metric (goodput under faults, availability). A deterministic
+counter (a build count on a seeded sequence, say) repeats exactly, so
+it needs no noise margin: {"gate": "exact"} requires the current value
+to equal the baseline's, whatever --threshold says. Other metrics
 (counts, costs, strings) are reported but not enforced, so the script
 never parses by position and never misfires on cost metrics where
 smaller is better.
@@ -38,15 +41,19 @@ def load(path):
     return doc
 
 
-def rate_metrics(doc):
-    """Gated metrics: rate units ("*/sec") plus explicit floor markers."""
+def gated_metrics(doc):
+    """Gated metrics -> (value, unit, gate): rate units ("*/sec") and
+    explicit floor markers gate "floor", explicit exact markers "exact"."""
     out = {}
     for key, entry in doc.items():
         if not (isinstance(entry, dict) and "value" in entry):
             continue
-        if (str(entry.get("unit", "")).endswith("/sec")
-                or entry.get("gate") == "floor"):
-            out[key] = (float(entry["value"]), entry["unit"])
+        gate = entry.get("gate")
+        if gate == "exact":
+            out[key] = (float(entry["value"]), entry["unit"], "exact")
+        elif (str(entry.get("unit", "")).endswith("/sec")
+                or gate == "floor"):
+            out[key] = (float(entry["value"]), entry["unit"], "floor")
     return out
 
 
@@ -59,15 +66,15 @@ def main():
                          "(default 0.8)")
     args = ap.parse_args()
 
-    baseline = rate_metrics(load(args.baseline))
+    baseline = gated_metrics(load(args.baseline))
     current_doc = load(args.current)
     if not baseline:
         sys.exit(f"{args.baseline}: no gated metrics (unit '*/sec' or "
-                 f"\"gate\": \"floor\") found")
+                 f"\"gate\": \"floor\"/\"exact\") found")
 
     failures = []
     width = max(len(k) for k in baseline)
-    for key, (base_v, unit) in sorted(baseline.items()):
+    for key, (base_v, unit, gate) in sorted(baseline.items()):
         # The gate marker lives in the baseline; the current artifact
         # just reports values, so look the key up in the raw document.
         entry = current_doc.get(key)
@@ -76,20 +83,26 @@ def main():
             print(f"FAIL {key:<{width}}  missing from current artifact")
             continue
         cur_v = float(entry["value"])
-        floor = args.threshold * base_v
-        ok = cur_v >= floor
+        if gate == "exact":
+            ok = cur_v == base_v
+            bound = f"exact {base_v:14.6g}"
+        else:
+            floor = args.threshold * base_v
+            ok = cur_v >= floor
+            bound = f"floor {floor:14.6g}"
         if not ok:
             failures.append(key)
         print(f"{'ok  ' if ok else 'FAIL'} {key:<{width}}  "
-              f"{cur_v:14.6g} vs floor {floor:14.6g} {unit} "
+              f"{cur_v:14.6g} vs {bound} {unit} "
               f"(baseline {base_v:.6g})")
 
     if failures:
         print(f"\n{len(failures)} metric(s) below "
-              f"{args.threshold:.0%} of baseline", file=sys.stderr)
+              f"{args.threshold:.0%} of baseline or off their exact "
+              f"value", file=sys.stderr)
         return 1
     print(f"\nall {len(baseline)} gated metrics at or above "
-          f"{args.threshold:.0%} of baseline")
+          f"{args.threshold:.0%} of baseline or at their exact value")
     return 0
 
 

@@ -55,11 +55,14 @@ class Channel
 
     /**
      * Reset run-time dynamics only — FIFO contents, credits, waiter
-     * registrations, push count — while keeping the name, geometry, and
-     * producer/consumer bindings. Used by Graph::rearm() to re-run a
-     * structurally unchanged graph without rebuilding it.
+     * registrations, push count — and take @p capacity as the new FIFO
+     * depth, keeping the name, latency, and producer/consumer bindings.
+     * Used by Graph::rearm() to re-run a structurally unchanged graph
+     * without rebuilding it; the depth may follow a dynamic dimension
+     * (the decode batch), so the rearmed channel matches a fresh one
+     * built at that depth.
      */
-    void rearm();
+    void rearm(size_t capacity);
 
     const std::string& name() const { return name_; }
     size_t capacity() const { return capacity_; }

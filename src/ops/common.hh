@@ -109,6 +109,9 @@ struct RearmSpec
     const OffChipTensor* tensor = nullptr;
     /** New allocated compute bandwidth; < 0 keeps the current value. */
     int64_t computeBw = -1;
+    /** New element count (DispatcherOp's selector total); < 0 keeps
+     *  the current value. */
+    int64_t count = -1;
 };
 
 /**

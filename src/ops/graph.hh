@@ -117,9 +117,14 @@ class Graph
      * memory models), so the same graph can run again after its
      * per-iteration parameters are patched through OpBase::rearm().
      * This skips the ~190 operator constructors a recycle+rebuild pays
-     * and is valid only while the graph structure (operator set,
-     * channel geometry) is unchanged — callers key on a structural
-     * fingerprint and fall back to recycle() + rebuild on mismatch.
+     * and is valid only while the operator set is unchanged — callers
+     * key on a structural fingerprint and fall back to recycle() +
+     * rebuild on mismatch. Channel depth is not structural: every
+     * channel built at the default depth takes @p cfg's
+     * channelCapacity, exactly as a fresh Graph(cfg) would build it.
+     * Channels built with an explicit depth keep it (their builder
+     * re-sizes them if that depth follows a dynamic dimension).
+     * Channel latency is structural.
      */
     void rearm(const SimConfig& cfg);
 
@@ -178,6 +183,9 @@ class Graph
     std::vector<OpBase*> ops_;
     /** Live channels of the current build (owned via store/pool). */
     std::vector<dam::Channel*> channels_;
+    /** Per channel of channels_: built at cfg_.channelCapacity, so
+     *  rearm() re-sizes it with the config. */
+    std::vector<bool> cfgDepth_;
     std::vector<std::unique_ptr<dam::Channel>> channelStore_;
     std::vector<std::unique_ptr<dam::Channel>> channelPool_;
     std::unique_ptr<MemModel> mem_;

@@ -907,6 +907,8 @@ ServingCluster::run(std::vector<Request>& reqs)
         parts.push_back(rr.result.summary);
         out.timeline.merge(rr.result.timeline);
         out.totalIterations += rr.result.iterations;
+        out.graphRearms += rr.result.graphRearms;
+        out.graphRebuilds += rr.result.graphRebuilds;
     }
     out.aggregate = mergeSummaries(parts);
     // Heterogeneous fleets provision sum(scale_r * bw) FLOPs/cycle; the

@@ -164,6 +164,9 @@ struct ClusterResult
     UtilizationTimeline timeline;
     std::vector<ReplicaResult> replicas;
     int64_t totalIterations = 0;
+    /** Sums of the replicas' EngineResult::graphRearms/graphRebuilds. */
+    uint64_t graphRearms = 0;
+    uint64_t graphRebuilds = 0;
     /** Retry incarnations the failover waves issued (0 without faults). */
     int64_t retriesIssued = 0;
     /** Migration incarnations the resilience tier issued (0 unless the

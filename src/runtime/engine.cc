@@ -156,6 +156,10 @@ ServingEngine::run(std::vector<Request>& reqs)
         batcher.attachPrefixCache(cache.get());
     }
     EngineResult res;
+    // The handles' counters span the engine's lifetime; report this
+    // run's share.
+    const uint64_t rearms0 = rearmHandles_.rearms;
+    const uint64_t rebuilds0 = rearmHandles_.rebuilds;
     Rng iter_rng(cfg_.seed);
     const double fpt = static_cast<double>(prefillFlopsPerToken());
 
@@ -756,6 +760,8 @@ ServingEngine::run(std::vector<Request>& reqs)
                     "run ended with " << cache->pinnedRequests()
                                       << " prefix-cache pins held");
 
+    res.graphRearms = rearmHandles_.rearms - rearms0;
+    res.graphRebuilds = rearmHandles_.rebuilds - rebuilds0;
     res.summary = summarize(reqs, res.timeline.span(), cfg_.slo);
     res.summary.computeUtilization =
         res.timeline.computeUtilization(cfg_.totalComputeBw);

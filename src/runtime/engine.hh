@@ -108,18 +108,20 @@ struct EngineConfig
     std::vector<ClusterInstant> clusterInstants;
 
     /**
-     * Recycle one arena-backed decoder graph across batching iterations
-     * instead of rebuilding from the heap each time (see
-     * Graph::recycle). Metrics are identical either way; the rebuild
-     * path remains for A/B verification.
+     * Keep one arena-backed decoder graph across batching iterations,
+     * rearmed in place for every decode batch size (see
+     * rearmDecoderLayer), instead of building one from the heap each
+     * time. Metrics are identical either way; the rebuild path remains
+     * for A/B verification.
      */
     bool recycleGraphs = true;
 
     /**
-     * Statically verify every freshly built iteration graph — the first
-     * build and each rearm structural-key fallback — before running it
-     * (src/verify; error findings are fatal). Read-only, so enabling it
-     * is byte-identical to disabling it on a well-formed graph; on by
+     * Statically verify the iteration graph before running it whenever
+     * it is freshly built (the first build and each rearm structural-key
+     * fallback) or rearmed for a new decode batch size (src/verify;
+     * error findings are fatal). Read-only, so enabling it is
+     * byte-identical to disabling it on a well-formed graph; on by
      * default in debug builds, opt-in (--verify on the sims) elsewhere.
      */
 #ifndef NDEBUG
@@ -136,6 +138,10 @@ struct EngineResult
     ServingSummary summary;
     UtilizationTimeline timeline;
     int64_t iterations = 0;
+    /** Decode iterations of this run that patched the engine's built
+     *  iteration graph in place (rearm) / built it afresh (rebuild). */
+    uint64_t graphRearms = 0;
+    uint64_t graphRebuilds = 0;
 };
 
 /**
@@ -205,8 +211,9 @@ class ServingEngine
     GraphArena arena_;     ///< backs the recycled iteration graph
     std::unique_ptr<Graph> iterGraph_; ///< lazily created when recycling
     /** Structure-preserving rearm handles for iterGraph_: while the
-     *  decode batch's structural key is stable, iterations patch the
-     *  recycled graph in place instead of rebuilding it. */
+     *  structural key is stable (it does not include the decode batch
+     *  size), iterations patch the built graph in place instead of
+     *  rebuilding it. */
     DecoderRearmHandles rearmHandles_;
 };
 

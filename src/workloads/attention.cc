@@ -62,6 +62,14 @@ attnMetaTokens(const std::vector<int64_t>& kv_lens,
     return toks;
 }
 
+/** Depth of a dynamic-strategy completion channel: room for every
+ *  request's completion signal plus slack. */
+size_t
+compDepth(int64_t batch)
+{
+    return static_cast<size_t>(batch) + 16;
+}
+
 /** Static-assignment selector tokens ([B] one-hot). */
 std::vector<Token>
 assignSelTokens(const std::vector<uint32_t>& assign)
@@ -184,7 +192,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         // to form the (q, meta) request tuples.
         auto& meta_src = g.add<SourceOp>(
             "attn.meta", attnMetaTokens(kv_lens, base_tile, Tk),
-            StreamShape({Dim::fixed(B)}), DataType::tile(1, 2));
+            StreamShape({batchDim()}), DataType::tile(1, 2));
         if (rearm)
             rearm->meta = &meta_src;
         auto& qflat = g.add<FlattenOp>("attn.qflat", *ext_q, 0, 1);
@@ -198,7 +206,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
             "attn.req",
             attnReqTokens(kv_lens, base_tile, Tk, d,
                           p.functional ? qs : nullptr),
-            StreamShape({Dim::fixed(B), Dim::fixed(1)}), req_dt);
+            StreamShape({batchDim(), Dim::fixed(1)}), req_dt);
         if (rearm)
             rearm->req = &req_src;
         req_port = req_src.out();
@@ -214,7 +222,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto assign = staticAssignment(p);
         auto mk_sel = [&](const std::string& name) -> SourceOp& {
             return g.add<SourceOp>(name, assignSelTokens(assign),
-                                   StreamShape({Dim::fixed(B)}),
+                                   StreamShape({batchDim()}),
                                    DataType::selector(p.regions));
         };
         SourceOp& sa = mk_sel("attn.selA");
@@ -237,8 +245,7 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         std::vector<StreamPort> comp_ports;
         for (size_t r = 0; r < P; ++r) {
             auto& ch = g.makeChannel(
-                "attn.comp" + std::to_string(r),
-                static_cast<size_t>(B) + 16);
+                "attn.comp" + std::to_string(r), compDepth(B));
             completion_chans.push_back(&ch);
             comp_ports.push_back(StreamPort{
                 &ch, StreamShape({Dim::ragged()}), DataType::tile(1, d)});
@@ -246,7 +253,12 @@ buildAttentionLayer(Graph& g, const AttnParams& p,
         auto& em = g.add<EagerMergeOp>("attn.compMerge", comp_ports, 0);
         g.add<SinkOp>("attn.compSink", em.out());
         auto& disp = g.add<DispatcherOp>("attn.disp", em.selOut(), P,
-                                         static_cast<uint64_t>(B));
+                                         static_cast<uint64_t>(B),
+                                         batchDim());
+        if (rearm) {
+            rearm->comp = completion_chans;
+            rearm->disp = &disp;
+        }
         auto& selbc = g.add<BroadcastOp>("attn.selbc", disp.out(), 2);
         part_sel = selbc.out(0);
         gather_sel = selbc.out(1);
@@ -388,6 +400,14 @@ rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
         RearmSpec s;
         s.computeBw = p.computeBw / div;
         op->rearm(s);
+    }
+    const auto B = static_cast<int64_t>(kv_lens.size());
+    for (dam::Channel* ch : h.comp)
+        ch->rearm(compDepth(B));
+    if (h.disp) {
+        RearmSpec s;
+        s.count = B;
+        h.disp->rearm(s);
     }
 }
 

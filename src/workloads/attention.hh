@@ -52,6 +52,7 @@ struct AttnBuild
 
 class SourceOp;
 class RandomOffChipLoadOp;
+class DispatcherOp;
 
 /**
  * Typed handles to the operators of a built attention layer that carry
@@ -71,6 +72,10 @@ struct AttnRearmHandles
     std::vector<RandomOffChipLoadOp*> vLoads; ///< per-region V loads
     /** (op, divisor): rearmed bandwidth = p.computeBw / divisor. */
     std::vector<std::pair<OpBase*, int64_t>> bwOps;
+    /** Dynamic strategy: per-region completion channels (depth B+16)
+     *  and the dispatcher that issues B selectors. */
+    std::vector<dam::Channel*> comp;
+    DispatcherOp* disp = nullptr;
 };
 
 /**
@@ -87,10 +92,11 @@ AttnBuild buildAttentionLayer(
     AttnRearmHandles* rearm = nullptr);
 
 /**
- * Re-arm a built attention layer for new per-request KV lengths and the
- * current policy bandwidth (timing mode only). Requires the owning
- * graph to have been rearm()-ed first; produces metrics bit-identical
- * to a full rebuild with the same parameters.
+ * Re-arm a built attention layer for new per-request KV lengths (any
+ * batch size: B is a dynamic dimension of the build) and the current
+ * policy bandwidth (timing mode only). Requires the owning graph to
+ * have been rearm()-ed first; produces metrics bit-identical to a full
+ * rebuild with the same parameters.
  */
 void rearmAttentionLayer(const AttnRearmHandles& h, const AttnParams& p,
                          const std::vector<int64_t>& kv_lens);

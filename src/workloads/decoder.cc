@@ -62,10 +62,9 @@ iterationSimConfig(int64_t batch)
 }
 
 DecoderStructKey
-decoderStructKey(const DecoderParams& p, int64_t batch)
+decoderStructKey(const DecoderParams& p)
 {
     DecoderStructKey k;
-    k.batch = batch;
     k.hidden = p.cfg.hidden;
     k.moeIntermediate = p.cfg.moeIntermediate;
     k.numExperts = p.cfg.numExperts;
@@ -163,7 +162,7 @@ buildDecoderLayer(Graph& g, const DecoderParams& p,
     // Layer input activations.
     auto& in_src = g.add<SourceOp>(
         "layer.in", rowStreamTokens(B, H),
-        StreamShape({Dim::fixed(B), Dim::fixed(1)}), DataType::tile(1, H));
+        StreamShape({batchDim(), Dim::fixed(1)}), DataType::tile(1, H));
     if (rearm)
         rearm->layerIn = &in_src;
 
@@ -216,7 +215,7 @@ rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
                   const DecoderParams& p, const IterationSpec& spec)
 {
     const auto B = static_cast<int64_t>(spec.kvLens.size());
-    STEP_ASSERT(h.valid && h.key == decoderStructKey(p, B),
+    STEP_ASSERT(h.valid && h.key == decoderStructKey(p),
                 "rearmDecoderLayer structural key mismatch: recycle and "
                 "rebuild instead");
     STEP_ASSERT(static_cast<int64_t>(spec.trace.perToken.size()) == B,
@@ -262,17 +261,21 @@ runDecoderIteration(const DecoderParams& p, const IterationSpec& spec,
     SimConfig sc = iterationSimConfig(B);
     if (reuse) {
         if (rearm) {
-            DecoderStructKey key = decoderStructKey(p, B);
+            DecoderStructKey key = decoderStructKey(p);
             if (rearm->valid && rearm->key == key) {
-                // Fast path: patch the recycled graph in place instead
-                // of re-running ~190 operator constructors. The
-                // structure is the verified one, so no re-verification.
+                // Fast path: patch the built graph in place instead of
+                // re-running ~190 operator constructors. Its structure
+                // was verified at build time; a new batch size changes
+                // channel depths and the dispatcher's priming count, so
+                // a rearm to one is verified again.
                 ++rearm->rearms;
                 rearmDecoderLayer(*reuse, *rearm, p, spec);
+                if (vopts && rearm->batch != B)
+                    verifyIterationGraph(*reuse, *vopts);
             } else {
-                // Structural change (batch size, layer config, policy
-                // split): fall back to a full recycle + rebuild and
-                // refresh the handles.
+                // Structural change (layer config, policy split): fall
+                // back to a full recycle + rebuild and refresh the
+                // handles.
                 ++rearm->rebuilds;
                 reuse->recycle(sc);
                 buildDecoderLayer(*reuse, p, spec.trace, spec.kvLens,
@@ -282,6 +285,7 @@ runDecoderIteration(const DecoderParams& p, const IterationSpec& spec,
                 if (vopts)
                     verifyIterationGraph(*reuse, *vopts);
             }
+            rearm->batch = B;
         } else {
             reuse->recycle(sc);
             buildDecoderLayer(*reuse, p, spec.trace, spec.kvLens);

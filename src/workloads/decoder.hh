@@ -61,15 +61,16 @@ StreamPort buildDenseProj(Graph& g, const std::string& name,
 
 /**
  * Structural fingerprint of a decoder-layer graph: everything that
- * determines the operator set and channel geometry. KV lengths, expert
- * traces, and policy-assigned bandwidths are deliberately absent — they
- * are per-iteration state the rearm path patches in place. When the key
- * changes (batch size, layer config, parallelization split) the graph
- * must be recycled and rebuilt.
+ * determines the operator set and the wiring between operators. The
+ * decode batch size B is deliberately absent: it is a dynamic dimension
+ * of the graph's streams, and the rearm path supplies it together with
+ * the other per-iteration state (KV lengths, expert traces,
+ * policy-assigned bandwidths, channel depths that scale with B). When
+ * the key changes (layer config, parallelization split) the graph must
+ * be recycled and rebuilt.
  */
 struct DecoderStructKey
 {
-    int64_t batch = 0;
     // ModelConfig geometry
     int64_t hidden = 0;
     int64_t moeIntermediate = 0;
@@ -92,13 +93,14 @@ struct DecoderStructKey
     bool operator==(const DecoderStructKey&) const = default;
 };
 
-DecoderStructKey decoderStructKey(const DecoderParams& p, int64_t batch);
+DecoderStructKey decoderStructKey(const DecoderParams& p);
 
 /**
- * The SimConfig a serving iteration at @p batch runs under (channel
- * capacity scales with the batch). Exported so benches and tests build
- * exactly the graph the engine runs; rearm asserts the channel
- * geometry it implies is unchanged.
+ * The SimConfig a serving iteration at @p batch runs under (the default
+ * channel depth scales with the batch). Exported so benches and tests
+ * build exactly the graph the engine runs; rearming a built graph with
+ * the config of a new batch re-sizes every default-depth channel to
+ * what a cold build at that batch would have (Graph::rearm).
  */
 SimConfig iterationSimConfig(int64_t batch);
 
@@ -114,6 +116,8 @@ struct DecoderRearmHandles
 {
     bool valid = false;
     DecoderStructKey key;
+    /** Decode batch size the graph is currently armed for. */
+    int64_t batch = 0;
     SourceOp* layerIn = nullptr;
     /** (op, divisor): rearmed bw = p.computeBwPerMatmul / divisor. */
     std::vector<std::pair<OpBase*, int64_t>> denseBwOps;
@@ -129,7 +133,7 @@ struct DecoderRearmHandles
  * ([B] of [1,H] rows) already routed into a LinearOffChipStore, so the
  * run's makespan covers "first off-chip read to last off-chip write".
  * When @p rearm is non-null its handles are reset and repopulated for
- * the new build (key/valid/counters are managed by the caller).
+ * the new build (key/valid/batch/counters are managed by the caller).
  */
 void buildDecoderLayer(Graph& g, const DecoderParams& p,
                        const ExpertTrace& trace,
@@ -156,11 +160,12 @@ struct IterationSpec
 
 /**
  * Structure-preserving re-arm of a previously built decoder-layer
- * graph: Graph::rearm plus per-operator patches for the iteration's KV
- * lengths, expert trace, and bandwidths. Valid only while
- * decoderStructKey(p, B) matches the build; metrics are bit-identical
- * to a cold build with the same (p, spec). Exposed separately from
- * runDecoderIteration so benches can time the rearm cost alone.
+ * graph: Graph::rearm plus per-operator patches for the iteration's
+ * batch size, KV lengths, expert trace, and bandwidths. Valid only
+ * while decoderStructKey(p) matches the build (any batch size is);
+ * metrics are bit-identical to a cold build with the same (p, spec).
+ * Exposed separately from runDecoderIteration so benches can time the
+ * rearm cost alone.
  */
 void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
                        const DecoderParams& p, const IterationSpec& spec);
@@ -175,15 +180,16 @@ void rearmDecoderLayer(Graph& g, const DecoderRearmHandles& h,
  * names (see Graph::recycle). When @p rearm is also non-null and the
  * structural key matches the previous build, even the rebuild is
  * skipped: the recycled graph is patched in place (rearmDecoderLayer)
- * — the fast path the serving engine runs on. On a key change the
- * handles are refreshed by a full recycle+rebuild.
+ * — the fast path the serving engine runs on, whatever the batch size.
+ * On a key change the handles are refreshed by a full recycle+rebuild.
  *
  * When @p vopts is non-null every fresh build — the cold path and the
- * rearm structural-key fallback, but not the structure-preserving rearm
- * itself — is statically verified (Graph::verify) before it runs; an
- * error-severity finding raises FatalError with the rendered report.
- * Verification is read-only, so a clean verified run is byte-identical
- * to an unverified one.
+ * rearm structural-key fallback — and every rearm that changes the
+ * batch size (and with it channel depths and priming counts) is
+ * statically verified (Graph::verify) before it runs; an error-severity
+ * finding raises FatalError with the rendered report. Verification is
+ * read-only, so a clean verified run is byte-identical to an unverified
+ * one.
  */
 SimResult runDecoderIteration(const DecoderParams& p,
                               const IterationSpec& spec,

@@ -9,7 +9,20 @@
 #include <cstdint>
 #include <string>
 
+#include "core/stream_shape.hh"
+
 namespace step {
+
+/**
+ * The decode-batch dimension B of the workload builders' request and
+ * selector streams: dynamic-regular and one shared symbol, so a built
+ * layer graph serves every batch size (rearm supplies the value).
+ */
+inline Dim
+batchDim()
+{
+    return Dim::dynamicExpr(sym::Expr::sym("B"));
+}
 
 struct ModelConfig
 {

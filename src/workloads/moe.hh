@@ -98,10 +98,11 @@ MoeBuild buildMoeLayer(Graph& g, const MoeParams& p,
                        MoeRearmHandles* rearm = nullptr);
 
 /**
- * Re-arm a built MoE layer for a new expert-routing trace and the
- * current policy bandwidth (timing mode only). The trace's batch size
- * and the layer geometry must match the build; metrics are
- * bit-identical to a full rebuild with the same parameters.
+ * Re-arm a built MoE layer for a new expert-routing trace (of any batch
+ * size: B is a dynamic dimension of the build) and the current policy
+ * bandwidth (timing mode only). The layer geometry must match the
+ * build; metrics are bit-identical to a full rebuild with the same
+ * parameters.
  */
 void rearmMoeLayer(const MoeRearmHandles& h, const MoeParams& p,
                    const ExpertTrace& trace);

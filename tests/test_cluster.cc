@@ -142,6 +142,15 @@ TEST(Cluster, CompletesEveryRequestAndReflectsStateToCaller)
     EXPECT_EQ(r.aggregate.makespan, max_span);
     EXPECT_GT(r.aggregate.computeUtilization, 0.0);
     EXPECT_LE(r.aggregate.computeUtilization, 1.0);
+    // Each replica's engine builds its iteration graph once and rearms
+    // it for every batch size after that; the cluster sums the counts.
+    uint64_t rearms = 0;
+    for (const ReplicaResult& rr : r.replicas) {
+        EXPECT_EQ(rr.result.graphRebuilds, 1u);
+        rearms += rr.result.graphRearms;
+    }
+    EXPECT_EQ(r.graphRebuilds, r.replicas.size());
+    EXPECT_EQ(r.graphRearms, rearms);
 }
 
 TEST(Cluster, LeastQueuedBeatsRoundRobinGoodputOnSkewedTrace)

@@ -406,6 +406,35 @@ TEST(Engine, DeterministicReplayWithRecycledGraphs)
                      b.summary.computeUtilization);
 }
 
+TEST(Engine, GraphRearmAndRebuildCountsArePerRun)
+{
+    // The decode batch size is a dynamic dimension of the one iteration
+    // graph an engine keeps, so an engine builds it once and rearms it
+    // for every later decode iteration, across runs too; each run
+    // reports its own share.
+    TraceConfig tc = burstyTrace(40);
+    QueueDepthPolicy policy;
+    EngineConfig ec;
+    ServingEngine engine(ec, policy);
+    auto reqs = generateTrace(tc, 9);
+    const EngineResult first = engine.run(reqs);
+    reqs = generateTrace(tc, 9);
+    const EngineResult second = engine.run(reqs);
+
+    EXPECT_EQ(first.graphRebuilds, 1u);
+    EXPECT_GT(first.graphRearms, 50u);
+    EXPECT_EQ(second.graphRebuilds, 0u);
+    EXPECT_EQ(second.graphRearms, first.graphRearms + 1u);
+
+    EngineConfig cold = ec;
+    cold.recycleGraphs = false;
+    ServingEngine cold_engine(cold, policy);
+    reqs = generateTrace(tc, 9);
+    const EngineResult c = cold_engine.run(reqs);
+    EXPECT_EQ(c.graphRebuilds, 0u);
+    EXPECT_EQ(c.graphRearms, 0u);
+}
+
 TEST(Engine, QueueDepthPolicyBeatsStaticSplitOnBurstyTrace)
 {
     TraceConfig tc = burstyTrace(80);

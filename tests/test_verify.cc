@@ -20,6 +20,7 @@
 #include "support/rng.hh"
 #include "trace/trace.hh"
 #include "verify/verifier.hh"
+#include "workloads/decoder.hh"
 #include "workloads/moe.hh"
 
 #include "helpers.hh"
@@ -407,6 +408,59 @@ TEST(Verify, ShippingMoeGraphLintsClean)
     EXPECT_TRUE(r.clean()) << r.toText();
     EXPECT_GT(r.opsChecked, 0u);
     EXPECT_GT(r.channelsChecked, 0u);
+}
+
+TEST(Verify, RearmedDecoderGraphVerifiesCleanWithDynamicBatch)
+{
+    // One decoder-layer graph built at B=4, then rearmed for B=9: the
+    // verifier must accept the rearmed graph (new channel depths, new
+    // dispatcher priming), and its shape pass must see the batch as the
+    // dynamic dimension B, not as either build-time extent.
+    DecoderParams p;
+    p.cfg = servingSimConfig();
+    p.attnStrategy = ParStrategy::Dynamic;
+    p.moeRegions = 4;
+    p.moeTile = 16;
+    p.denseTile = 16;
+    auto spec_for = [&](int64_t batch) {
+        IterationSpec spec;
+        Rng rng(static_cast<uint64_t>(batch));
+        spec.trace = generateExpertTrace(rng, batch, p.cfg.numExperts,
+                                         p.cfg.topK);
+        spec.kvLens = sampleKvBatch(7, batch, KvVarClass::Med);
+        return spec;
+    };
+    dam::Scheduler sched;
+    GraphArena arena;
+    Graph g(SimConfig{}, &arena);
+    DecoderRearmHandles h;
+    const VerifyOptions all{};
+    (void)runDecoderIteration(p, spec_for(4), &sched, &g, &h, &all);
+    (void)runDecoderIteration(p, spec_for(9), &sched, &g, &h, &all);
+    ASSERT_EQ(h.rebuilds, 1u);
+    ASSERT_EQ(h.rearms, 1u);
+
+    rearmDecoderLayer(g, h, p, spec_for(9));
+    const VerifyReport r = g.verify(all);
+    EXPECT_EQ(r.errors(), 0u) << r.toText();
+
+    size_t batch_ports = 0;
+    for (const OpBase* op : g.ops()) {
+        if (op->name() != "layer.in" && op->name() != "attn.meta" &&
+            op->name() != "moe.selA" && op->name() != "attn.disp")
+            continue;
+        std::vector<PortDecl> ports;
+        op->collectPorts(ports);
+        for (const PortDecl& port : ports) {
+            if (port.isInput)
+                continue;
+            const Dim& outer = port.shape.outer(0);
+            EXPECT_EQ(outer.kind, DimKind::DynamicRegular) << op->name();
+            EXPECT_EQ(outer.size.toString(), "B") << op->name();
+            ++batch_ports;
+        }
+    }
+    EXPECT_EQ(batch_ports, 4u);
 }
 
 TEST(Verify, VerificationIsReadOnly)
